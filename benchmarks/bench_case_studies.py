@@ -150,15 +150,15 @@ def test_ablation_fig2(benchmark, disabled):
     from repro.conversion import mlir_to_sdfg
     from repro.frontend import compile_c_to_mlir
     from repro.passes import control_centric_pipeline
-    from repro.transforms import data_centric_pipeline
+    from repro.pipeline import DATA_SUITE
+    from repro.transforms import DATA_PASSES
 
     source = fig2_source({"N": 250, "M": 25})
     module = compile_c_to_mlir(source)
     control_centric_pipeline().run(module)
     sdfg = mlir_to_sdfg(module)
-    pipeline = data_centric_pipeline()
-    pipeline.passes = [p for p in pipeline.passes if p.name != disabled]
-    pipeline.apply(sdfg)
+    kept = [name for name in DATA_SUITE if name != disabled]
+    DATA_PASSES.runner(kept, max_iterations=3, stage="data").run(sdfg)
     compiled = compile_sdfg(sdfg)
 
     outputs = benchmark.pedantic(compiled.run, rounds=1, iterations=1)

@@ -1,25 +1,26 @@
-"""Parallel-schedule vs sequential wall-clock across both backends.
+"""Parallel-schedule vs sequential wall-clock on the native backend.
 
-PR 10's tentpole claim is that annotating provably-safe outer maps with a
+The claim under test is that annotating provably-safe outer maps with a
 ``parallel`` schedule speeds execution up on multi-core machines without
-changing results.  This benchmark measures exactly that, per kernel with
-at least one parallelizable map:
+changing results.  Only the native (OpenMP) backend executes schedules in
+parallel — the interpreted backend ignores them and stays the sequential
+oracle — so every measurement here is native, per kernel with at least
+one parallelizable map:
 
 * the two PolyBench kernels whose loops survive ``loop-to-map`` with a
-  parallelizable outer map (``atax``, ``bicg``) at scaled-up sizes,
-  through the native (OpenMP) backend when a compiler is available;
-* the whole NumPy-frontend suite through the interpreted backend's
-  fork/join executor (and the native backend when available).
+  parallelizable outer map (``atax``, ``bicg``) at scaled-up sizes;
+* the whole NumPy-frontend suite.
 
 Every measurement pairs a sequential and a parallel compilation of the
 same program and records a differential equality check — a parallel
 speedup that computes a different answer is a bug, not a win.
 
 The committed document is **honest about its machine**: the speedup gate
-(≥2x on ≥5 kernels, from the PR acceptance criteria) only *applies* when
-``machine.available_cpus`` ≥ 2.  On a single-core runner the document
-records ``gate.applicable: false`` and the measured ~1x ratios stand as
-the expected result, not a failure.
+(≥2x on ≥5 kernels) only *applies* when ``machine.available_cpus`` ≥ 2,
+a C compiler is available and at least ``GATE_MIN_KERNELS`` kernels are
+selected.  Otherwise the document records ``gate.applicable: false`` with
+the reason (a ``--quick`` run measures too few kernels to meet the gate
+by construction); the differential check is enforced either way.
 
 Run directly::
 
@@ -95,18 +96,16 @@ def _parallel_map_count(result) -> int:
     )
 
 
-def _measure(source, spec, backend: str, repetitions: int):
-    result = compile_c(source, spec.with_codegen(backend=backend))
+def _measure(source, spec, repetitions: int):
+    result = compile_c(source, spec.with_codegen(backend="native"))
     run = run_compiled(result, repetitions=repetitions, warmup=1, disable_gc=True)
     return result, run
 
 
-def _bench_pair(source, backend: str, threads: Optional[int], repetitions: int) -> Dict:
+def _bench_pair(source, threads: Optional[int], repetitions: int) -> Dict:
     base = get_pipeline("dcir")
-    seq_result, seq_run = _measure(source, base, backend, repetitions)
-    par_result, par_run = _measure(
-        source, _parallel_spec(base, threads), backend, repetitions
-    )
+    seq_result, seq_run = _measure(source, base, repetitions)
+    par_result, par_run = _measure(source, _parallel_spec(base, threads), repetitions)
     cell: Dict = {
         "backend": par_result.backend,
         "maps_parallelized": _parallel_map_count(par_result),
@@ -132,24 +131,17 @@ def run_bench_parallel(
     selected_c = [k for k in C_KERNELS if kernels is None or k in kernels]
     selected_py = [k for k in sorted(suite) if kernels is None or k in kernels]
 
+    sources = [
+        (kernel, "c", get_kernel(
+            kernel, {key: value * C_SCALE for key, value in KERNELS[kernel][1].items()}
+        ))
+        for kernel in selected_c
+    ] + [(kernel, "python", suite[kernel]) for kernel in selected_py]
     entries = []
-    for kernel in selected_c:
-        scaled = {key: value * C_SCALE for key, value in KERNELS[kernel][1].items()}
-        source = get_kernel(kernel, scaled)
-        row: Dict = {"kernel": kernel, "frontend": "c", "backends": {}}
+    for kernel, frontend, source in sources:
+        row: Dict = {"kernel": kernel, "frontend": frontend, "backends": {}}
         if native_available:
-            row["backends"]["native"] = _bench_pair(
-                source, "native", threads, repetitions
-            )
-        entries.append(row)
-    for kernel in selected_py:
-        program = suite[kernel]
-        row = {"kernel": kernel, "frontend": "python", "backends": {}}
-        row["backends"]["python"] = _bench_pair(program, "python", threads, repetitions)
-        if native_available:
-            row["backends"]["native"] = _bench_pair(
-                program, "native", threads, repetitions
-            )
+            row["backends"]["native"] = _bench_pair(source, threads, repetitions)
         entries.append(row)
 
     measured = [
@@ -164,14 +156,24 @@ def run_bench_parallel(
         and cell["speedup"] is not None
         and cell["speedup"] >= GATE_SPEEDUP
     }
-    applicable = machine["available_cpus"] >= 2
+    # A parallel region can only beat sequential with cores to fan out to,
+    # and only native code runs one; a run over fewer kernels than the
+    # gate counts cannot meet it.  Saying so in the document beats faking
+    # a speedup or failing a run that never had a chance.
+    if machine["available_cpus"] < 2:
+        reason = "fewer than 2 available CPUs"
+    elif not native_available:
+        reason = "no C compiler: only the native backend runs schedules in parallel"
+    elif len(entries) < GATE_MIN_KERNELS:
+        reason = f"{len(entries)} kernel(s) selected; the gate counts {GATE_MIN_KERNELS}"
+    else:
+        reason = None
+    applicable = reason is None
     gate: Dict = {
         "required_speedup": GATE_SPEEDUP,
         "required_kernels": GATE_MIN_KERNELS,
-        # A fork/join can only beat sequential with cores to fan out to;
-        # a single-CPU runner measures overhead, and saying so in the
-        # document beats faking a speedup.
         "applicable": applicable,
+        "reason": reason,
         "kernels_at_speedup": sorted(fast_kernels),
         "passed": (len(fast_kernels) >= GATE_MIN_KERNELS) if applicable else None,
     }
@@ -218,7 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     gate = document["gate"]
     print(f"wrote {path} ({document['measured_pairs']} parallel measurements on "
           f"{document['machine']['available_cpus']} CPU(s); gate "
-          + ("n/a on this machine" if not gate["applicable"]
+          + (f"n/a: {gate['reason']}" if not gate["applicable"]
              else ("passed" if gate["passed"] else "FAILED")) + ")")
     if document["differential_mismatches"]:
         print("ERROR: parallel runs disagree with sequential on: "
@@ -235,6 +237,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def test_document_shape_and_differential_equality():
+    import pytest
+
+    if not have_compiler():
+        pytest.skip("no C compiler: nothing runs in parallel")
     document = run_bench_parallel(list(QUICK_KERNELS), threads=2, repetitions=1)
     assert document["schema"] == SCHEMA
     assert document["version"] == __version__
@@ -245,6 +251,7 @@ def test_document_shape_and_differential_equality():
         for cell in entry["backends"].values() if cell["maps_parallelized"] > 0
     ]
     assert parallelized, "no map was parallelized on the quick kernels"
+    assert document["gate"]["applicable"] is False  # two kernels never meet the gate
     for cell in parallelized:
         assert cell["sequential_seconds"] > 0
         assert cell["parallel_seconds"] > 0

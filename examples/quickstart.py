@@ -18,13 +18,14 @@ import time
 
 from repro.perf import PERF
 from repro import (
-    PIPELINES,
     compile_c,
     get_pipeline,
+    list_pipelines,
     register_pipeline,
     run_compiled,
     unregister_pipeline,
 )
+from repro.pipeline import PAPER_PIPELINES
 from repro.service import CompileCache, Session, cache_key, compile_many
 from repro.workloads import polybench_suite
 
@@ -49,7 +50,7 @@ double saxpy() {
 
 def main() -> None:
     print(f"{'pipeline':<10} {'result':>14} {'runtime':>12} {'compile':>10}")
-    for pipeline in PIPELINES:
+    for pipeline in PAPER_PIPELINES:
         compiled = compile_c(SOURCE, pipeline)
         result = run_compiled(compiled, repetitions=3)
         print(
@@ -104,17 +105,17 @@ def parallel_demo() -> None:
 
     The ``parallelize`` pass annotates exactly the maps the safety
     analysis proves free of cross-iteration write conflicts (WCR
-    updates become reductions or atomics).  Both backends honor the
-    annotation — OpenMP pragmas in the native C, a fork/join
-    shared-memory executor in the interpreted Python — and degrade to
-    plain sequential loops on machines that cannot fan out, so the
-    demo is correct everywhere and only *faster* with cores to spare.
+    updates become reductions or atomics).  The native backend runs the
+    annotated maps as OpenMP loops; the interpreted backend (the
+    fallback without a C compiler) ignores schedules and runs the same
+    sequential loops as before, so the demo is correct everywhere and
+    can only be *faster* natively with cores to spare.
     """
     from repro.sdfg import SCHEDULE_PARALLEL
     from repro.workloads import get_kernel
 
     source = get_kernel("atax", {"M": 96, "N": 96})
-    base = get_pipeline("dcir")
+    base = get_pipeline("dcir").with_codegen(backend="native")
     passes = [(p.name, dict(p.params)) for p in base.data_passes]
     parallel = base.with_passes("data", passes + [("parallelize", {"n_threads": 2})])
 
@@ -127,7 +128,8 @@ def parallel_demo() -> None:
     )
     drift = abs(measured.return_value - sequential.return_value)
     drift /= max(1.0, abs(sequential.return_value))
-    print(f"\nparallel schedules (atax, 2 workers): {annotated} map(s) annotated")
+    print(f"\nparallel schedules (atax, 2 workers, {compiled.backend} backend): "
+          f"{annotated} map(s) annotated")
     print(f"  sequential: {sequential.seconds * 1e3:8.2f}ms   "
           f"parallel: {measured.seconds * 1e3:8.2f}ms   "
           f"relative drift: {drift:.2e} (<= 1e-12)")
@@ -150,10 +152,9 @@ def custom_pipeline_demo() -> None:
     assert cache_key(SOURCE, "dcir") == cache_key(SOURCE, get_pipeline("dcir"))
     assert cache_key(SOURCE, nofuse) != cache_key(SOURCE, "dcir")
 
-    # Register it to address it by string everywhere names are accepted
-    # (PIPELINES is a live view over the registry).
+    # Register it to address it by string everywhere names are accepted.
     register_pipeline(nofuse)
-    print("\nregistered pipelines:", ", ".join(PIPELINES))
+    print("\nregistered pipelines:", ", ".join(list_pipelines()))
 
     # Sweep the ablation against its parent through the suite runner:
     # specs and names mix freely in ``pipelines=``.
@@ -183,7 +184,7 @@ def service_demo() -> None:
     # Batch compilation: every pipeline at once, one failing item does not
     # abort the sweep (its outcome carries the error instead of a result).
     outcomes = compile_many(
-        [(SOURCE, pipeline) for pipeline in PIPELINES] + [("int broken( {", "gcc")],
+        [(SOURCE, pipeline) for pipeline in PAPER_PIPELINES] + [("int broken( {", "gcc")],
         cache=cache,
     )
     for outcome in outcomes:

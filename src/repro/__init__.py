@@ -38,8 +38,8 @@ Define your own pipeline
 ------------------------
 
 Pipelines are declarative :class:`PipelineSpec` values; the six paper
-pipelines are simply pre-registered specs (``PIPELINES`` is a live view of
-the registry).  Build a custom composition — an ablation, a new pass
+pipelines are simply pre-registered specs (``list_pipelines()`` names every
+registered one).  Build a custom composition — an ablation, a new pass
 ordering, a workload-specific pipeline — and every entry point accepts it
 directly, or register it to address it by name::
 
@@ -74,7 +74,7 @@ compiles batches in parallel, and runs whole workload suites::
     result = cache.get_or_compile(C_SOURCE, "dcir")        # warm: cache_hit=True
 
     # Parallel batch compilation with per-item error isolation.
-    outcomes = compile_many([(C_SOURCE, p) for p in PIPELINES], cache=cache)
+    outcomes = compile_many([(C_SOURCE, p) for p in list_pipelines()], cache=cache)
 
     # Suite runner: compile + run a workload set, with cache reuse and a
     # structured report (compile/run time, cache hits, movement stats).
@@ -106,7 +106,6 @@ list-pipelines``, ``python -m repro compile``, ``python -m repro run``,
 """
 
 from .pipeline import (
-    PIPELINES,
     CodegenOptions,
     CompilationReport,
     CompileResult,
@@ -171,7 +170,6 @@ __all__ = [
     "FrontendError",
     "GeneratedProgram",
     "NativeCodegenError",
-    "PIPELINES",
     "PassSpec",
     "PermanentError",
     "PipelineError",

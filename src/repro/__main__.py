@@ -241,8 +241,9 @@ def _add_compile_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads", type=int, metavar="N",
         help="request parallel map schedules (appends the 'parallelize' "
-        "pass): N > 0 pins the worker count, 0 resolves it at run time "
-        "from REPRO_NUM_THREADS or the machine",
+        "pass; only --backend native runs them in parallel, the interpreted "
+        "backend ignores them): N > 0 pins the worker count, 0 resolves it "
+        "at run time from REPRO_NUM_THREADS or the machine",
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from ..sdfg import (
     Tasklet,
 )
 from ..sdfg.data import Array, DTYPES, LIFETIME_PERSISTENT, Stream
-from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL, is_scope_entry, is_scope_exit
-from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo, analyze_map_parallelism
+from ..sdfg.nodes import MapEntry, MapExit, is_scope_entry, is_scope_exit
 from .control_flow import (
     BranchNode,
     ControlFlowNode,
@@ -114,109 +113,6 @@ class _Writer:
 _NUMPY_DTYPES = {name: f"np.{info.numpy_name}" for name, info in DTYPES.items()}
 
 
-# Runtime support for parallel-scheduled maps, emitted into the generated
-# module only when the SDFG actually contains one (sequential programs
-# stay byte-identical).  Workers are forked processes writing through
-# ``multiprocessing.shared_memory`` segments: fork keeps the generated
-# body function callable without pickling, shared memory makes array
-# writes visible to the parent, and per-chunk partial slots carry scalar
-# reduction results back (the fork itself privatizes everything else).
-_PARALLEL_HELPERS = f"""\
-import multiprocessing as _repro_mp
-import os as _repro_os
-from multiprocessing import shared_memory as _repro_shm
-
-_repro_fork_ok = "fork" in _repro_mp.get_all_start_methods()
-_repro_ctx = _repro_mp.get_context("fork") if _repro_fork_ok else None
-
-def _repro_workers(requested):
-    if requested and int(requested) > 0:
-        return int(requested)
-    env = _repro_os.environ.get({NUM_THREADS_ENV!r}, "").strip()
-    if env:
-        try:
-            value = int(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    try:
-        return max(1, len(_repro_os.sched_getaffinity(0)))
-    except (AttributeError, OSError):
-        return max(1, _repro_os.cpu_count() or 1)
-
-def _repro_chunks(start, end, step, pieces):
-    total = len(range(start, end, step))
-    if total == 0:
-        return []
-    pieces = max(1, min(int(pieces), total))
-    bounds = []
-    for index in range(pieces):
-        low = (total * index) // pieces
-        high = (total * (index + 1)) // pieces
-        if high > low:
-            bounds.append((start + step * low, start + step * high))
-    return bounds
-
-class _ReproShared:
-    def __init__(self):
-        self._arrays = []
-        self._extra = []
-    def share(self, array):
-        segment = _repro_shm.SharedMemory(create=True, size=max(1, array.nbytes))
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-        view[...] = array
-        self._arrays.append((segment, array))
-        return view
-    def partials(self, count, dtype, identity):
-        size = max(1, int(count) * np.dtype(dtype).itemsize)
-        segment = _repro_shm.SharedMemory(create=True, size=size)
-        view = np.ndarray((int(count),), dtype=dtype, buffer=segment.buf)
-        view[...] = identity
-        self._extra.append(segment)
-        return view
-    def restore(self):
-        originals = []
-        for segment, original in self._arrays:
-            view = np.ndarray(original.shape, dtype=original.dtype, buffer=segment.buf)
-            original[...] = view
-            del view
-            originals.append(original)
-        for segment, _ in self._arrays:
-            segment.close()
-            segment.unlink()
-        for segment in self._extra:
-            segment.close()
-            segment.unlink()
-        self._arrays = []
-        self._extra = []
-        return tuple(originals)\
-"""
-
-
-def _reduction_identity(operator: str, dtype: str) -> str:
-    """Identity-element literal for one scalar reduction, as source text."""
-    floating = dtype.startswith("float")
-    if operator == "+":
-        return "0.0" if floating else "0"
-    if operator == "*":
-        return "1.0" if floating else "1"
-    if operator == "min":
-        return "float('inf')" if floating else f"int(np.iinfo({_NUMPY_DTYPES[dtype]}).max)"
-    if operator == "max":
-        return "float('-inf')" if floating else f"int(np.iinfo({_NUMPY_DTYPES[dtype]}).min)"
-    raise CodegenError(f"No reduction identity for WCR operator {operator!r}")
-
-
-#: Parent-side fold of one partials vector into the pre-map scalar value.
-_REDUCTION_COMBINE = {
-    "+": "{name} = {name} + {partials}.sum().item()",
-    "*": "{name} = {name} * {partials}.prod().item()",
-    "min": "{name} = min({name}, {partials}.min().item())",
-    "max": "{name} = max({name}, {partials}.max().item())",
-}
-
-
 class SDFGPythonGenerator:
     """Generates a Python ``run(**kwargs)`` function from an SDFG."""
 
@@ -226,30 +122,13 @@ class SDFGPythonGenerator:
         self.count_allocations = count_allocations
         self.writer = _Writer()
         self._value_counter = 0
-        self._parallel_counter = 0
         self._allocated_persistent: Set[str] = set()
-        # Parallel-scheduled map scopes whose safety proof succeeds.  The
-        # interpreted executor has no atomics (workers are processes), so
-        # maps needing atomic WCR updates also lower sequentially here —
-        # the annotation is a request, the proof is the authority.
-        self._parallel_maps: Dict[int, ParallelismInfo] = {}
-        for state, entry in sdfg.map_entries():
-            if entry.map.schedule != SCHEDULE_PARALLEL:
-                continue
-            if state.scope_dict().get(entry) is not None:
-                continue
-            info = analyze_map_parallelism(sdfg, state, entry)
-            if info.ok and not info.atomic_edges:
-                self._parallel_maps[id(entry)] = info
 
     # -- public -------------------------------------------------------------------
     def generate(self) -> str:
         writer = self.writer
         writer.emit("import math")
         writer.emit("import numpy as np")
-        if self._parallel_maps:
-            for line in _PARALLEL_HELPERS.splitlines():
-                writer.emit(line)
         writer.emit()
         writer.emit("def run(**_args):")
         with writer.block():
@@ -603,17 +482,6 @@ class SDFGPythonGenerator:
                 self._emit_scope_member(state, node, scope, value_names, vector_param=params[0])
             return
 
-        info = self._parallel_maps.get(id(entry))
-        if info is not None:
-            self._emit_parallel_map(state, entry, members, scope, value_names, info)
-            return
-
-        self._emit_sequential_loops(state, entry, members, scope, value_names)
-
-    def _emit_sequential_loops(self, state, entry: MapEntry, members, scope, value_names) -> None:
-        writer = self.writer
-        params = entry.map.params
-        ranges = entry.map.ranges
         for param, rng in zip(params, ranges):
             writer.emit(
                 f"for {param} in range(int({python_expr(rng.start)}), "
@@ -626,104 +494,6 @@ class SDFGPythonGenerator:
             self._emit_scope_member(state, node, scope, value_names, vector_param=None)
         for _ in params:
             writer.indent -= 1
-
-    def _emit_parallel_map(self, state, entry: MapEntry, members, scope, value_names,
-                           info: ParallelismInfo) -> None:
-        """Emit a map as a fork/join over chunks of its first dimension.
-
-        The chunk grain is the outermost map parameter (after MapTiling
-        that is the tile loop), split contiguously across the resolved
-        worker count.  Written arrays move into shared-memory segments so
-        worker writes survive the fork boundary; scalar WCR reductions
-        accumulate privately per chunk into partial slots that the parent
-        folds back in chunk order (deterministic for a fixed chunking).
-        Degenerate chunkings — one worker, empty range, or no ``fork``
-        start method on this platform — take the sequential loop nest.
-        """
-        writer = self.writer
-        params = entry.map.params
-        ranges = entry.map.ranges
-        index = self._parallel_counter
-        self._parallel_counter += 1
-        chunks = f"_pchunks{index}"
-        first = ranges[0]
-        start = f"int({python_expr(first.start)})"
-        end = f"int({python_expr(first.end)})"
-        step = f"int({python_expr(first.step)})"
-        requested = entry.map.n_threads or 0
-        writer.emit(
-            f"{chunks} = _repro_chunks({start}, {end}, {step}, "
-            f"_repro_workers({requested})) if _repro_fork_ok else []"
-        )
-        writer.emit(f"if len({chunks}) <= 1:")
-        with writer.block():
-            self._emit_sequential_loops(state, entry, members, scope, dict(value_names))
-        writer.emit("else:")
-        with writer.block():
-            shared = f"_pshared{index}"
-            writer.emit(f"{shared} = _ReproShared()")
-            written = list(info.written_arrays)
-            for name in written:
-                writer.emit(f"{name} = {shared}.share({name})")
-            partials = {}
-            for name, operator in info.reductions:
-                slot = f"_partial{index}_{name}"
-                partials[name] = slot
-                dtype = self.sdfg.arrays[name].dtype
-                identity = _reduction_identity(operator, dtype)
-                writer.emit(
-                    f"{slot} = {shared}.partials(len({chunks}), "
-                    f"{_NUMPY_DTYPES[dtype]}, {identity})"
-                )
-            body = f"_pbody{index}"
-            writer.emit(f"def {body}(_pindex, _plow, _phigh):")
-            with writer.block():
-                for name, operator in info.reductions:
-                    dtype = self.sdfg.arrays[name].dtype
-                    writer.emit(f"{name} = {_reduction_identity(operator, dtype)}")
-                writer.emit(f"for {params[0]} in range(_plow, _phigh, {step}):")
-                writer.indent += 1
-                for param, rng in zip(params[1:], ranges[1:]):
-                    writer.emit(
-                        f"for {param} in range(int({python_expr(rng.start)}), "
-                        f"int({python_expr(rng.end)}), int({python_expr(rng.step)})):"
-                    )
-                    writer.indent += 1
-                if not members:
-                    writer.emit("pass")
-                for node in members:
-                    self._emit_scope_member(state, node, scope, dict(value_names), vector_param=None)
-                for _ in params:
-                    writer.indent -= 1
-                for name, _ in info.reductions:
-                    writer.emit(f"{partials[name]}[_pindex] = {name}")
-            procs = f"_pprocs{index}"
-            writer.emit(f"{procs} = []")
-            writer.emit(f"for _pindex, (_plow, _phigh) in enumerate({chunks}):")
-            with writer.block():
-                writer.emit(
-                    f"_proc = _repro_ctx.Process(target={body}, "
-                    "args=(_pindex, int(_plow), int(_phigh)))"
-                )
-                writer.emit("_proc.start()")
-                writer.emit(f"{procs}.append(_proc)")
-            writer.emit(f"for _proc in {procs}:")
-            with writer.block():
-                writer.emit("_proc.join()")
-                writer.emit("if _proc.exitcode != 0:")
-                with writer.block():
-                    writer.emit(
-                        "raise RuntimeError('parallel map worker failed "
-                        "(exit code %r)' % (_proc.exitcode,))"
-                    )
-            for name, operator in info.reductions:
-                writer.emit(_REDUCTION_COMBINE[operator].format(name=name, partials=partials[name]))
-                writer.emit(f"{partials[name]} = None")
-            if written:
-                targets = ", ".join(written) + ("," if len(written) == 1 else "")
-                writer.emit(f"{targets} = {shared}.restore()")
-            else:
-                writer.emit(f"{shared}.restore()")
 
     def _emit_scope_member(self, state, node, scope, value_names, vector_param) -> None:
         if isinstance(node, Tasklet):

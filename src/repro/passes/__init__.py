@@ -1,4 +1,4 @@
-"""Control-centric passes, the pass manager and the pass registry.
+"""Control-centric passes and the pass registry.
 
 The standard pipelines (``gcc``, ``clang``, ``mlir`` and the MLIR half of
 ``dcir``) are assembled from these passes; see
@@ -8,33 +8,24 @@ paper's §4 conversion pipeline.  Passes are also registered by name in
 (:class:`repro.pipeline.PipelineSpec`) can reference them.
 """
 
+from ..passbase import PassRunner
 from .canonicalize import Canonicalize, constant_value
 from .cse import CommonSubexpressionElimination
 from .dce import DeadCodeElimination
 from .inlining import Inlining
 from .licm import LoopInvariantCodeMotion
 from .memref_dce import DeadMemoryElimination
-from .pass_manager import Pass, PassManager, PassPipelineReport, PassStatistics
 from .registry import CONTROL_PASSES, list_control_passes, register_control_pass
 from .scalar_replacement import ScalarReplacement
 
 
-def control_centric_pipeline(
-    include_memref_dce: bool = True, max_iterations: int = 3
-) -> PassManager:
-    """The control-centric pass suite of §4: inlining, canonicalization,
-    scalar replacement, CSE, LICM and DCE, iterated to a fixed point."""
-    passes = [
-        Inlining(),
-        Canonicalize(),
-        ScalarReplacement(),
-        CommonSubexpressionElimination(),
-        LoopInvariantCodeMotion(),
-        DeadCodeElimination(),
-    ]
-    if include_memref_dce:
-        passes.append(DeadMemoryElimination())
-    return PassManager(passes, max_iterations=max_iterations)
+def control_centric_pipeline() -> PassRunner:
+    """The control-centric pass suite of §4 (``CONTROL_SUITE``: inlining,
+    canonicalization, scalar replacement, CSE, LICM, DCE and memref-DCE),
+    iterated to a fixed point for at most three rounds."""
+    from ..pipeline.registry import CONTROL_SUITE
+
+    return CONTROL_PASSES.runner(CONTROL_SUITE, max_iterations=3, stage="control")
 
 
 __all__ = [
@@ -45,10 +36,6 @@ __all__ = [
     "DeadMemoryElimination",
     "Inlining",
     "LoopInvariantCodeMotion",
-    "Pass",
-    "PassManager",
-    "PassPipelineReport",
-    "PassStatistics",
     "ScalarReplacement",
     "constant_value",
     "control_centric_pipeline",

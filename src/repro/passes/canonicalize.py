@@ -22,7 +22,7 @@ from ..dialects.arith import (
 from ..dialects.math_dialect import MATH_SEMANTICS
 from ..ir.core import Builder, Operation, Value, defining_op
 from ..ir.types import FloatType, IndexType, IntegerType
-from .pass_manager import Pass
+from ..passbase import PassBase
 
 
 def constant_value(value: Value) -> Optional[Union[int, float]]:
@@ -41,12 +41,12 @@ def _make_constant(builder: Builder, value, type) -> Value:
     return builder.create(ConstantOp, value, type).result
 
 
-class Canonicalize(Pass):
+class Canonicalize(PassBase):
     """Constant folding + algebraic identities + trivial scf.if folding."""
 
     NAME = "canonicalize"
 
-    def run_on_module(self, module: Operation) -> bool:
+    def run(self, module: Operation) -> bool:
         changed = False
         # Iterate locally to a fixed point: folding one op may enable more.
         for _ in range(64):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..ir.core import Block, Operation, Value
-from .pass_manager import Pass
+from ..passbase import PassBase
 
 
 def _attributes_key(op: Operation) -> Tuple:
@@ -46,12 +46,12 @@ def _is_memory_barrier(op: Operation) -> bool:
     return False
 
 
-class CommonSubexpressionElimination(Pass):
+class CommonSubexpressionElimination(PassBase):
     """Block-local CSE for pure ops and loads."""
 
     NAME = "cse"
 
-    def run_on_module(self, module: Operation) -> bool:
+    def run(self, module: Operation) -> bool:
         changed = False
         for op in module.walk():
             for region in op.regions:

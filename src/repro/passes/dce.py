@@ -9,7 +9,7 @@ applies before conversion (§4).
 from __future__ import annotations
 
 from ..ir.core import Operation
-from .pass_manager import Pass
+from ..passbase import PassBase
 
 
 def _is_trivially_dead(op: Operation) -> bool:
@@ -28,12 +28,12 @@ def _is_trivially_dead(op: Operation) -> bool:
     return True
 
 
-class DeadCodeElimination(Pass):
+class DeadCodeElimination(PassBase):
     """Iteratively erase unused, effect-free operations."""
 
     NAME = "dce"
 
-    def run_on_module(self, module: Operation) -> bool:
+    def run(self, module: Operation) -> bool:
         changed_any = False
         while True:
             changed = False

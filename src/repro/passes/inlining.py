@@ -14,7 +14,7 @@ from typing import Optional
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import CallOp, FuncOp
 from ..ir.core import Operation
-from .pass_manager import Pass
+from ..passbase import PassBase
 
 
 def _find_callee(module: Operation, name: str) -> Optional[FuncOp]:
@@ -38,7 +38,7 @@ def _is_inlinable(callee: FuncOp, max_ops: int) -> bool:
     return len(body.operations) <= max_ops
 
 
-class Inlining(Pass):
+class Inlining(PassBase):
     """Inline small, single-block, non-recursive callees."""
 
     NAME = "inline"
@@ -47,7 +47,7 @@ class Inlining(Pass):
         self.max_callee_ops = max_callee_ops
         self.remove_inlined = remove_inlined
 
-    def run_on_module(self, module: Operation) -> bool:
+    def run(self, module: Operation) -> bool:
         changed = False
         inlined_callees = set()
         for _ in range(8):  # bounded rounds handle call chains

@@ -14,7 +14,7 @@ from typing import Set
 
 from ..ir.core import Operation, Value
 from ..dialects.scf import ForOp
-from .pass_manager import Pass
+from ..passbase import PassBase
 
 
 def _written_memrefs(loop: Operation) -> Set[int]:
@@ -49,12 +49,12 @@ def _values_defined_inside(loop: ForOp) -> Set[int]:
     return inside
 
 
-class LoopInvariantCodeMotion(Pass):
+class LoopInvariantCodeMotion(PassBase):
     """Hoist loop-invariant pure ops and safe loads out of scf.for loops."""
 
     NAME = "licm"
 
-    def run_on_module(self, module: Operation) -> bool:
+    def run(self, module: Operation) -> bool:
         changed = False
         # Innermost loops first (post-order) so invariants bubble outwards.
         loops = [op for op in module.walk(post_order=True) if isinstance(op, ForOp)]

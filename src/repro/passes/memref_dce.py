@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from ..ir.core import Operation
 from ..ir.types import MemRefType
-from .pass_manager import Pass
+from ..passbase import PassBase
 
 
 def _is_scalar_memref(memref_type: MemRefType) -> bool:
     return memref_type.num_elements() == 1 or memref_type.rank == 0
 
 
-class DeadMemoryElimination(Pass):
+class DeadMemoryElimination(PassBase):
     """Remove never-read (scalar, by default) allocations and their stores."""
 
     NAME = "memref-dce"
@@ -30,7 +30,7 @@ class DeadMemoryElimination(Pass):
     def __init__(self, scalars_only: bool = True):
         self.scalars_only = scalars_only
 
-    def run_on_module(self, module: Operation) -> bool:
+    def run(self, module: Operation) -> bool:
         changed = False
         while self._run_once(module):
             changed = True

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 
 from ..ir.core import Block, Operation, Value, defining_op
 from ..dialects.arith import ConstantOp
-from .pass_manager import Pass
+from ..passbase import PassBase
 
 
 def _index_key(indices) -> Optional[Tuple]:
@@ -47,12 +47,12 @@ def _escaping_memrefs(module: Operation) -> set:
     return escaping
 
 
-class ScalarReplacement(Pass):
+class ScalarReplacement(PassBase):
     """Store-to-load / load-to-load forwarding within basic blocks."""
 
     NAME = "scalar-replacement"
 
-    def run_on_module(self, module: Operation) -> bool:
+    def run(self, module: Operation) -> bool:
         escaping = _escaping_memrefs(module)
         changed = False
         for op in module.walk():

@@ -11,7 +11,7 @@ from .registry import (
     CONTROL_SUITE,
     DATA_SUITE,
     PAPER_PIPELINES,
-    PIPELINES,
+    SIMPLIFY_SUITE,
     get_pipeline,
     list_pipelines,
     paper_control_passes,
@@ -50,9 +50,9 @@ __all__ = [
     "DATA_SUITE",
     "GeneratedProgram",
     "PAPER_PIPELINES",
-    "PIPELINES",
     "PassRecord",
     "PassSpec",
+    "SIMPLIFY_SUITE",
     "PipelineError",
     "PipelineLike",
     "PipelineSpec",

@@ -62,8 +62,8 @@ from ..passes import CONTROL_PASSES
 from ..perf import PERF
 from ..sdfg import SDFG
 from ..transforms import DATA_PASSES
-from .registry import PIPELINES, resolve_pipeline
-from .spec import PipelineLike, PipelineSpec, pipeline_label
+from .registry import resolve_pipeline
+from .spec import PipelineLike, PipelineSpec
 
 #: What the compilation entry points accept as a program: C source text
 #: or a Python-frontend program (decorated/plain function or
@@ -80,8 +80,11 @@ SourceLike = Union[str, ProgramLike]
 #: fallback diagnostic, and specs carry the ``codegen.backend`` axis;
 #: v6: map schedules — generated code for parallel-annotated maps embeds
 #: the fork/join executor (interpreted) or OpenMP pragmas (native), so
-#: cached payloads from earlier versions would miss the schedule.)
-PAYLOAD_VERSION = 6
+#: cached payloads from earlier versions would miss the schedule;
+#: v7: the interpreted backend ignores map schedules — parallel-annotated
+#: maps emit the sequential loop nest, OpenMP is the only parallel
+#: executor, and v6 payloads would still carry the fork/join runtime.)
+PAYLOAD_VERSION = 7
 
 
 @dataclass

@@ -6,16 +6,12 @@ evaluation (§7) ship pre-registered — ``gcc``, ``clang``, ``dace``,
 ``mlir``, ``dcir``, ``dcir+vec`` — and user code can add its own with
 :func:`register_pipeline` (ablations, new pass orderings,
 workload-specific pipelines) without touching library internals.
-
-:data:`PIPELINES` is a live, ordered view over the registered names, kept
-for backwards compatibility with the original string-tuple API: iteration,
-membership, indexing and ``len`` all reflect the current registry contents.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..errors import PipelineError
 from ..passbase import suggest
@@ -84,46 +80,9 @@ def resolve_pipeline(pipeline: PipelineLike) -> PipelineSpec:
     )
 
 
-class _PipelineView(Sequence):
-    """Live, ordered, read-only view over the registered pipeline names."""
-
-    def __iter__(self):
-        return iter(list(_REGISTRY))
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __getitem__(self, index):
-        return list(_REGISTRY)[index]
-
-    def __contains__(self, name) -> bool:
-        return name in _REGISTRY
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, tuple, _PipelineView)):
-            return list(_REGISTRY) == list(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(_REGISTRY))
-
-    def __add__(self, other):
-        return tuple(_REGISTRY) + tuple(other)
-
-    def __radd__(self, other):
-        return tuple(other) + tuple(_REGISTRY)
-
-    def __repr__(self) -> str:
-        return f"PIPELINES{tuple(_REGISTRY)!r}"
-
-
 #: The six pipeline compositions of the paper's evaluation — a fixed
 #: snapshot, unaffected by later registrations (the default sweep set).
 PAPER_PIPELINES = ("gcc", "clang", "dace", "mlir", "dcir", "dcir+vec")
-
-#: Registered pipeline names — a live view over the registry (historically
-#: a hard-coded six-element tuple).
-PIPELINES = _PipelineView()
 
 
 # -- the paper's six pipelines ---------------------------------------------------------
@@ -157,6 +116,11 @@ DATA_SUITE = (
     "loop-to-map",
     "map-fusion",
 )
+
+#: The §6.1/§6.2 simplification prefix of :data:`DATA_SUITE` (inference,
+#: state fusion, dead state/dataflow and array elimination, memlet
+#: consolidation) that ``SDFG.simplify()`` runs.
+SIMPLIFY_SUITE = DATA_SUITE[: DATA_SUITE.index("memlet-consolidation") + 1]
 
 
 def paper_control_passes(include_memref_dce: bool = True) -> List[PassSpec]:

@@ -11,7 +11,7 @@ reduction clauses, which WCR updates need atomics, which loop variables
 must be privatized), or a negative verdict with the reason.
 
 The proof partitions iterations by the map's **first parameter** — the
-loop both backends actually split across workers.  A write is *safe*
+loop the native backend splits across OpenMP threads.  A write is *safe*
 when some dimension of its subset is strictly monotone in a parameter of
 the partition family: the first parameter itself, or an inner-map
 parameter whose range is an interval ``[p, p + step)`` of it — exactly
@@ -23,7 +23,7 @@ natural parallel grain.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..symbolic import Expr
@@ -32,7 +32,7 @@ from .data import Scalar, Stream
 from .nodes import MapEntry, MapExit, SCHEDULE_PARALLEL, is_scope_exit
 
 #: Environment variable overriding the default worker count of parallel
-#: schedules (both backends and the cost model honor it).
+#: schedules (the native backend and the cost model honor it).
 NUM_THREADS_ENV = "REPRO_NUM_THREADS"
 
 
@@ -63,16 +63,12 @@ class ParallelismInfo:
     reason: Optional[str] = None
     #: The parameter whose iterations are split across workers.
     chunk_param: Optional[str] = None
-    #: Scalar WCR accumulators, as sorted ``(container, operator)`` pairs —
-    #: OpenMP ``reduction(...)`` clauses natively, per-chunk partial slots
-    #: combined by the parent in the interpreted executor.
+    #: Scalar WCR accumulators, as sorted ``(container, operator)`` pairs
+    #: (OpenMP ``reduction(...)`` clauses).
     reductions: Tuple[Tuple[str, str], ...] = ()
     #: ``id()`` of write edges whose WCR update must be atomic (array
     #: targets not partitioned by the chunked parameter).
     atomic_edges: FrozenSet[int] = frozenset()
-    #: Array containers written inside the scope (the interpreted executor
-    #: mirrors exactly these into shared memory).
-    written_arrays: Tuple[str, ...] = ()
     #: Loop parameters of the scope beyond the chunked one (the map's own
     #: trailing parameters plus every nested map's); the C backend adds a
     #: ``private(...)`` clause for any of them declared at function scope.
@@ -222,7 +218,6 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
 
     reductions: Dict[str, str] = {}
     atomic_edges: Set[int] = set()
-    written_arrays: List[str] = []
     read_scalars: Set[str] = set()
 
     for edge in state.edges():
@@ -275,8 +270,6 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
             _injective_dimension(index, family, scope_params)
             for index in memlet.subset.indices()
         )
-        if data not in written_arrays:
-            written_arrays.append(data)
         if partitioned:
             continue
         if memlet.wcr in ("+", "*"):
@@ -300,7 +293,6 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
         chunk_param=chunk_param,
         reductions=tuple(sorted(reductions.items())),
         atomic_edges=frozenset(atomic_edges),
-        written_arrays=tuple(sorted(written_arrays)),
         private_params=tuple(dict.fromkeys(private)),
     )
 

@@ -346,17 +346,21 @@ class SDFG:
         validate_sdfg(self)
 
     def simplify(self) -> "SDFG":
-        """Run the simplification pipeline (§6.1) in place and return self."""
-        from ..transforms.simplify import simplify_sdfg
+        """Run the simplification passes (§6.1, ``SIMPLIFY_SUITE``) to a
+        fixed point (at most four rounds) in place and return self."""
+        from ..pipeline.registry import SIMPLIFY_SUITE
+        from ..transforms import DATA_PASSES
 
-        simplify_sdfg(self)
+        DATA_PASSES.runner(SIMPLIFY_SUITE, max_iterations=4, stage="data").run(self)
         return self
 
     def apply_auto_optimizations(self) -> "SDFG":
-        """Run the -O1/-O2-equivalent data-centric passes (§6.2, §6.3)."""
-        from ..transforms.pipeline import data_centric_pipeline
+        """Run the -O1/-O2-equivalent data-centric passes (§6.2, §6.3,
+        ``DATA_SUITE``) for at most three rounds in place and return self."""
+        from ..pipeline.registry import DATA_SUITE
+        from ..transforms import DATA_PASSES
 
-        data_centric_pipeline().apply(self)
+        DATA_PASSES.runner(DATA_SUITE, max_iterations=3, stage="data").run(self)
         return self
 
     def compile(self, **kwargs):

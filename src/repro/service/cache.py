@@ -232,21 +232,16 @@ class CompileCache:
         if not isinstance(document, dict):
             self._quarantine(path, "entry is not a JSON object")
             return None
-        if "format" in document:
-            if document.get("format") != CACHE_FORMAT:
-                self._quarantine(path, f"alien entry format {document.get('format')!r}")
-                return None
-            payload = document.get("payload")
-            if not isinstance(payload, dict):
-                self._quarantine(path, "envelope carries no payload object")
-                return None
-            if document.get("sha256") != payload_digest(payload):
-                self._quarantine(path, "payload checksum mismatch")
-                return None
-        else:
-            # Pre-envelope entry (a bare payload written by an older
-            # library version): no checksum to verify, validated below.
-            payload = document
+        if document.get("format") != CACHE_FORMAT:
+            self._quarantine(path, f"alien entry format {document.get('format')!r}")
+            return None
+        payload = document.get("payload")
+        if not isinstance(payload, dict):
+            self._quarantine(path, "envelope carries no payload object")
+            return None
+        if document.get("sha256") != payload_digest(payload):
+            self._quarantine(path, "payload checksum mismatch")
+            return None
         if not _valid_payload(payload):
             self._quarantine(path, "stale or incompatible payload version")
             return None

@@ -376,7 +376,7 @@ class Session:
     def run_polybench(
         self,
         kernels: Optional[Sequence[str]] = None,
-        # A fixed snapshot of the paper's six, not the live PIPELINES view:
+        # A fixed snapshot of the paper's six, not every registered pipeline:
         # registering a custom pipeline must not silently widen the default
         # Fig. 6 sweep (or feed unsound ablations to its differential check).
         pipelines: Sequence[PipelineLike] = PAPER_PIPELINES,

@@ -43,17 +43,8 @@ from .map_transforms import LoopToMap, MapFusion
 from .memlet_consolidation import MemletConsolidation
 from .parallelize import Parallelize
 from .memory_allocation import MemoryPreAllocation, StackPromotion
-from .pipeline import (
-    DataCentricPass,
-    DataCentricPipeline,
-    PipelineReport,
-    data_centric_pipeline,
-    memory_scheduling_pipeline,
-    simplification_pipeline,
-)
 from .registry import DATA_PASSES, list_data_passes, register_data_pass
 from .rewrite import Match, Transformation, transformation_parameters
-from .simplify import simplify_sdfg
 from .state_fusion import StateFusion
 from .symbol_passes import ScalarToSymbolPromotion, SymbolPropagation
 from .wcr_detection import AugAssignToWCR
@@ -62,8 +53,6 @@ __all__ = [
     "ArrayElimination",
     "AugAssignToWCR",
     "DATA_PASSES",
-    "DataCentricPass",
-    "DataCentricPipeline",
     "DeadDataflowElimination",
     "DeadStateElimination",
     "LoopInfo",
@@ -76,7 +65,6 @@ __all__ = [
     "MemletConsolidation",
     "MemoryPreAllocation",
     "Parallelize",
-    "PipelineReport",
     "RedundantIterationElimination",
     "ScalarToSymbolPromotion",
     "StackPromotion",
@@ -84,13 +72,9 @@ __all__ = [
     "SymbolPropagation",
     "Transformation",
     "Vectorization",
-    "data_centric_pipeline",
     "find_loops",
     "list_data_passes",
-    "memory_scheduling_pipeline",
     "register_data_pass",
-    "simplification_pipeline",
-    "simplify_sdfg",
     "symbols_used_in_state",
     "tile_map",
     "transformation_parameters",

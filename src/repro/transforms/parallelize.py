@@ -2,14 +2,14 @@
 
 ``Parallelize`` closes the loop the paper's §2.2 opens: map scopes are
 *parametrically parallel* by construction, but until a schedule says so,
-both backends lower them as sequential loop nests.  This transformation
-runs the conservative safety proof in :mod:`repro.sdfg.parallelism` on
-every outermost map scope and, where the proof succeeds, flips the map's
-``schedule`` annotation to ``"parallel"`` — nothing else.  The backends
-key everything off the annotation: the C generator emits ``#pragma omp
-parallel for`` (with ``reduction(...)`` clauses and ``#pragma omp
-atomic`` lowered from WCR memlets), the interpreted backend forks
-chunked shared-memory workers.
+they lower as sequential loop nests.  This transformation runs the
+conservative safety proof in :mod:`repro.sdfg.parallelism` on every
+outermost map scope and, where the proof succeeds, flips the map's
+``schedule`` annotation to ``"parallel"`` — nothing else.  The C
+generator keys off the annotation and emits ``#pragma omp parallel for``
+(with ``reduction(...)`` clauses and ``#pragma omp atomic`` lowered from
+WCR memlets); the interpreted backend, the sequential oracle, ignores
+it.
 
 The natural grain is the outer tile loop ``MapTiling`` produces: its
 step equals the tile size, so each worker owns whole tiles and the

@@ -49,8 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..passbase import PassBase
 from ..sdfg import SDFG
-from .pipeline import DataCentricPass
 
 
 @dataclass
@@ -88,7 +88,7 @@ class Match:
         }
 
 
-class Transformation(DataCentricPass):
+class Transformation(PassBase):
     """Base class for pattern-based SDFG rewrites (match/apply contract)."""
 
     #: Tunable constructor parameters and their preset axes for the
@@ -153,6 +153,9 @@ class Transformation(DataCentricPass):
         return [entry for entry in found if entry.index in allowed]
 
     # -- the pass-pipeline driver ------------------------------------------------------
+    def run(self, target: SDFG) -> bool:
+        return self.apply(target)
+
     def apply(self, sdfg: SDFG, match: Optional[Match] = None) -> bool:
         """Apply one given match, or drain all matches per :attr:`DRAIN`."""
         if match is not None:

@@ -32,7 +32,10 @@ enumerates that neighbourhood of a base :class:`~repro.PipelineSpec`:
   pass params);
 * **schedule variants** — appending the ``parallelize`` pass
   (``schedule:parallel``, ``schedule:parallel(n_threads=N)``), the
-  parallel-schedule axis.  ``Parallelize`` is deliberately excluded from
+  parallel-schedule axis, offered only on native-backend specs (the
+  interpreted backend ignores schedules, so there a schedule candidate
+  would be the base program under a new content address).
+  ``Parallelize`` is deliberately excluded from
   the generic addition axis: a schedule is a *request* the safety proof
   may refuse, so it gets its own origin family with an explicit
   thread-count sweep instead of being enumerated like a rewrite.
@@ -271,8 +274,8 @@ class SearchSpace:
         from ..transforms import DATA_PASSES
         from ..transforms.parallelize import Parallelize
 
-        if not spec.bridge:
-            return []  # schedules annotate SDFG maps
+        if not spec.bridge or spec.codegen.backend != "native":
+            return []  # only native code runs SDFG map schedules in parallel
         if Parallelize.NAME not in DATA_PASSES.names():
             return []
         if any(pass_spec.name == Parallelize.NAME for pass_spec in spec.data_passes):

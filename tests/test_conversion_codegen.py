@@ -25,7 +25,6 @@ from repro.ir import print_module, verify
 from repro.passes import control_centric_pipeline
 from repro.sdfg import Memlet, SDFG, InterstateEdge
 from repro.symbolic import Range
-from repro.transforms import data_centric_pipeline
 
 FIG5_SOURCE = """
 int fName(int *A, int *B) {
@@ -151,7 +150,7 @@ class TestCodegen:
         module = compile_c_to_mlir(LOOP_SOURCE)
         control_centric_pipeline().run(module)
         sdfg = mlir_to_sdfg(module)
-        data_centric_pipeline().apply(sdfg)
+        sdfg.apply_auto_optimizations()
         sdfg.validate()
         assert compile_sdfg(sdfg).run()["__return"] == pytest.approx(90.0)
 
@@ -209,6 +208,6 @@ class TestCodegen:
         control_centric_pipeline().run(module)
         sdfg = mlir_to_sdfg(module)
         before = sdfg_movement_report(sdfg).elements_moved
-        data_centric_pipeline().apply(sdfg)
+        sdfg.apply_auto_optimizations()
         after = sdfg_movement_report(sdfg).elements_moved
         assert after < before

@@ -16,7 +16,8 @@ import sys
 import pytest
 
 import repro
-from repro import PIPELINES, generate_program
+from repro import generate_program
+from repro.pipeline import PAPER_PIPELINES
 from repro.workloads import get_kernel, mish_source
 
 #: Directory holding the ``repro`` package, for child interpreters.
@@ -35,7 +36,7 @@ def _sources():
     return sources
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("pipeline", PAPER_PIPELINES)
 def test_recompilation_is_byte_identical(pipeline):
     for name, source in _sources().items():
         first = generate_program(source, pipeline).code

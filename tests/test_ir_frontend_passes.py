@@ -248,7 +248,7 @@ class TestCFrontend:
 class TestControlCentricPasses:
     def test_constant_folding(self):
         module = compile_c_to_mlir("int f() { return 2 + 3 * 4; }")
-        Canonicalize().run_on_module(module)
+        Canonicalize().run(module)
         text = print_module(module)
         assert "arith.constant 14" in text
         assert "arith.muli" not in text
@@ -256,7 +256,7 @@ class TestControlCentricPasses:
     def test_cse_removes_duplicates(self):
         module = compile_c_to_mlir("double f(double a, double b) { return (a + b) * (a + b); }")
         before = sum(1 for op in module.walk() if op.name == "arith.addf")
-        CommonSubexpressionElimination().run_on_module(module)
+        CommonSubexpressionElimination().run(module)
         after = sum(1 for op in module.walk() if op.name == "arith.addf")
         assert before == 2 and after == 1
 
@@ -296,7 +296,7 @@ class TestControlCentricPasses:
         module = compile_c_to_mlir(
             "int f() { int A[10]; for (int i = 0; i < 10; i++) A[i] = 1; return 2; }"
         )
-        DeadMemoryElimination().run_on_module(module)
+        DeadMemoryElimination().run(module)
         # Whole arrays are left for the data-centric side (scalars only).
         assert "memref.alloca" in print_module(module)
 
@@ -306,7 +306,7 @@ class TestControlCentricPasses:
         double f() { return helper(21.0); }
         """
         module = compile_c_to_mlir(source)
-        Inlining().run_on_module(module)
+        Inlining().run(module)
         assert "func.call" not in print_module(module)
 
     def test_pipeline_is_idempotent(self):

@@ -1,17 +1,18 @@
-"""Parallel execution backends: differential equality and WCR stress.
+"""Parallel execution: differential equality and WCR stress.
 
-PR 10's acceptance bar for parallel execution is *semantic*: every
-parallel run must compute what the sequential schedule computes —
-integers and allocation counts bit-stable, floats within 1e-12 relative
-drift (reduction reassociation is the only permitted difference) — and
-repeated parallel runs must be stable among themselves.  These tests
-drive both executors:
+The acceptance bar for parallel execution is *semantic*: every parallel
+run must compute what the sequential schedule computes — integers and
+allocation counts exact, floats within 1e-12 relative drift (reduction
+reassociation is the only permitted difference).  The native backend's
+OpenMP code is the only parallel executor; the interpreted backend
+ignores schedules and is the sequential oracle.  These tests cover:
 
-* the interpreted backend's fork/join shared-memory executor over the
-  whole NumPy-frontend suite under ``REPRO_NUM_THREADS=2``;
-* the native backend's OpenMP emission (reduction clauses, atomic
-  updates) on hand-built WCR SDFGs and the parallelizable PolyBench
-  kernels;
+* the interpreted backend emitting byte-identical code with and without
+  parallel annotations, over the whole NumPy-frontend suite;
+* native parallel vs native sequential over the NumPy-frontend suite and
+  the parallelizable PolyBench kernels;
+* the native OpenMP emission (reduction clauses, atomic updates) on
+  hand-built WCR SDFGs, checked against the interpreted oracle;
 * a discovery sweep asserting the WCR-under-parallelism property for
   every PolyBench kernel whose default-pipeline SDFG carries WCR memlets
   (currently none survive lowering — the sweep documents that and guards
@@ -80,57 +81,37 @@ def _annotate_all(sdfg: SDFG, n_threads=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Interpreted fork/join executor
+# Interpreted oracle and native executor over the NumPy-frontend suite
 # ---------------------------------------------------------------------------
 
-class TestInterpretedExecutor:
-    @pytest.mark.parametrize("kernel", sorted(python_suite()))
-    def test_python_suite_differential(self, kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_THREADS", "2")
-        program = python_suite()[kernel]
-        sdfg = generate_sdfg(program, pipeline="dcir")
-        reference = CompiledSDFG.from_code(generate_code(sdfg), name="seq").run()
-        assert _annotate_all(sdfg) > 0
-        code = generate_code(sdfg)
-        assert "_repro_chunks" in code
-        parallel = CompiledSDFG.from_code(code, name="par").run()
-        _outputs_match(reference, parallel)
-
-    def test_sequential_codegen_carries_no_executor(self):
-        sdfg = generate_sdfg(python_suite()["heat1d"], pipeline="dcir")
-        code = generate_code(sdfg)
-        assert "_repro" not in code  # byte-identical to pre-schedule output
-
-    def test_single_worker_falls_back_to_loops(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
-        sdfg = generate_sdfg(python_suite()["heat1d"], pipeline="dcir")
-        reference = CompiledSDFG.from_code(generate_code(sdfg), name="seq").run()
-        _annotate_all(sdfg)
-        parallel = CompiledSDFG.from_code(generate_code(sdfg), name="par").run()
-        _outputs_match(reference, parallel)
-
-    def test_atomic_needing_map_stays_sequential(self):
-        # Unpartitioned array WCR needs atomics; processes have none, so
-        # the interpreted backend must refuse the fork and emit plain loops.
-        sdfg = SDFG("atomic")
-        sdfg.add_array("A", [64], "float64")
-        sdfg.add_array("B", [4], "float64")
-        state = sdfg.add_state("s0", is_start_state=True)
-        _, entry, _ = state.add_mapped_tasklet(
-            "hist", {"i": Range(0, 64)},
-            {"_a": Memlet.simple("A", "i")}, "_out = _a",
-            {"_out": Memlet.simple("B", "0", wcr="+")},
-        )
-        entry.map.schedule = SCHEDULE_PARALLEL
-        assert "_repro_chunks" not in generate_code(sdfg)
+@pytest.mark.parametrize("kernel", sorted(python_suite()))
+def test_interpreted_code_ignores_schedule(kernel):
+    sdfg = generate_sdfg(python_suite()[kernel], pipeline="dcir")
+    sequential = generate_code(sdfg)
+    assert _annotate_all(sdfg) > 0
+    assert generate_code(sdfg) == sequential
 
 
+@requires_cc
+@pytest.mark.parametrize("kernel", sorted(python_suite()))
+def test_python_suite_native_parallel_differential(kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_NUM_THREADS", "2")
+    sdfg = generate_sdfg(python_suite()[kernel], pipeline="dcir")
+    reference = CompiledNative.from_code(generate_c_code(sdfg)).run()
+    assert _annotate_all(sdfg, n_threads=2) > 0
+    code = generate_c_code(sdfg)
+    assert "#pragma omp parallel for" in code
+    parallel = CompiledNative.from_code(code).run()
+    _outputs_match(reference, parallel)
+
+
+@requires_cc
 class TestWCRStress:
     @pytest.mark.parametrize("wcr,dtype", [
         ("+", "int64"), ("max", "int64"), ("+", "float64"),
         ("*", "float64"), ("min", "float64"),
     ])
-    def test_repeated_runs_are_stable(self, wcr, dtype, monkeypatch):
+    def test_repeated_runs_match_oracle(self, wcr, dtype, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "4")
         sdfg = _reduction_sdfg(wcr, dtype)
         if dtype == "int64":
@@ -139,44 +120,22 @@ class TestWCRStress:
             values = np.random.default_rng(3).uniform(0.9, 1.1, 1000)
         else:
             values = np.random.default_rng(3).standard_normal(1000)
+        initial = 1 if wcr == "*" else 0
         reference = CompiledSDFG.from_code(generate_code(sdfg), name="seq").run(
-            A=values.copy(), s=1 if wcr == "*" else 0
-        )
+            A=values.copy(), s=initial
+        )["s"]
         for _, entry in sdfg.map_entries():
             entry.map.schedule = SCHEDULE_PARALLEL
-        code = generate_code(sdfg)
-        assert "_partial" in code  # the reduction rides the partial slots
-        compiled = CompiledSDFG.from_code(code, name="par")
-        results = [
-            compiled.run(A=values.copy(), s=1 if wcr == "*" else 0)["s"]
-            for _ in range(STRESS_RUNS)
-        ]
-        # Bit-stable across repeated parallel runs (fixed chunking).
-        assert len({repr(value) for value in results}) == 1
-        if dtype == "int64":
-            assert results[0] == reference["s"]  # integers are exact
-        else:
-            assert results[0] == pytest.approx(reference["s"], rel=FLOAT_DRIFT)
-
-    @requires_cc
-    @pytest.mark.parametrize("wcr", ["+", "*"])
-    def test_native_reduction_clause(self, wcr):
-        sdfg = _reduction_sdfg(wcr, "float64", size=512)
-        for _, entry in sdfg.map_entries():
-            entry.map.schedule = SCHEDULE_PARALLEL
-            entry.map.n_threads = 2
         code = generate_c_code(sdfg)
         assert f"reduction({wcr}:s)" in code
-        values = np.random.default_rng(5).uniform(0.9, 1.1, 512)
         native = CompiledNative.from_code(code)
-        sequential = 1.0 if wcr == "*" else 0.0
-        for value in values:
-            sequential = sequential * value if wcr == "*" else sequential + value
         for _ in range(STRESS_RUNS):
-            out = native.run(A=values.copy(), s=1.0 if wcr == "*" else 0.0)
-            assert out["s"] == pytest.approx(sequential, rel=FLOAT_DRIFT)
+            result = native.run(A=values.copy(), s=initial)["s"]
+            if dtype == "int64":
+                assert result == reference  # integers are exact
+            else:
+                assert result == pytest.approx(reference, rel=FLOAT_DRIFT)
 
-    @requires_cc
     def test_native_atomic_update(self):
         sdfg = SDFG("atomic_native")
         sdfg.add_array("A", [256], "float64")
@@ -215,6 +174,7 @@ def test_polybench_native_parallel_differential(kernel, monkeypatch):
     _outputs_match(reference, parallel)
 
 
+@requires_cc
 @pytest.mark.parametrize("kernel", kernel_names())
 def test_polybench_wcr_under_parallelism(kernel, monkeypatch):
     """Differential gate for every PolyBench kernel carrying WCR memlets.
@@ -233,8 +193,8 @@ def test_polybench_wcr_under_parallelism(kernel, monkeypatch):
     if not wcr_edges:
         pytest.skip("no WCR memlets survive the default pipeline for this kernel")
     monkeypatch.setenv("REPRO_NUM_THREADS", "2")
-    reference = CompiledSDFG.from_code(generate_code(sdfg), name="seq").run()
-    if _annotate_all(sdfg) == 0:
+    reference = CompiledNative.from_code(generate_c_code(sdfg)).run()
+    if _annotate_all(sdfg, n_threads=2) == 0:
         pytest.skip("no provably-parallel map on this kernel")
-    parallel = CompiledSDFG.from_code(generate_code(sdfg), name="par").run()
+    parallel = CompiledNative.from_code(generate_c_code(sdfg)).run()
     _outputs_match(reference, parallel)

@@ -18,7 +18,6 @@ import pytest
 
 import repro
 from repro import (
-    PIPELINES,
     CompileCache,
     PipelineError,
     PipelineSpec,
@@ -71,21 +70,16 @@ def _ablated(name=None):
 
 class TestRegistry:
     def test_paper_pipelines_preregistered_in_order(self):
-        assert list(PIPELINES) == list(_PAPER_NAMES)
         assert list_pipelines() == list(_PAPER_NAMES)
-        assert len(PIPELINES) == 6
-        assert "dcir" in PIPELINES
-        assert PIPELINES[0] == "gcc"
 
-    def test_pipelines_is_a_live_view(self):
+    def test_list_pipelines_tracks_registrations(self):
         spec = _ablated("view-test-pipeline")
         register_pipeline(spec)
         try:
-            assert "view-test-pipeline" in PIPELINES
             assert "view-test-pipeline" in list_pipelines()
         finally:
             unregister_pipeline("view-test-pipeline")
-        assert "view-test-pipeline" not in PIPELINES
+        assert "view-test-pipeline" not in list_pipelines()
 
     def test_anonymous_spec_cannot_be_registered(self):
         with pytest.raises(PipelineError, match="anonymous"):
@@ -166,14 +160,11 @@ class TestPassSpecParams:
         assert clone == spec and clone is not spec
         assert clone.params is not spec.params
 
-    def test_legacy_options_key_and_alias_still_work(self):
+    def test_unknown_pass_spec_keys_are_rejected(self):
         from repro.pipeline.spec import PassSpec
 
-        legacy = PassSpec.of({"name": "map-fusion", "options": {"max_applications": 1}})
-        assert legacy.params == {"max_applications": 1}
-        assert legacy.options is legacy.params  # live alias
-        legacy.options = {"max_applications": 2}
-        assert legacy.params == {"max_applications": 2}
+        with pytest.raises(PipelineError, match="options"):
+            PassSpec.of({"name": "map-fusion", "options": {"max_applications": 1}})
 
     def test_with_params_returns_a_fresh_spec(self):
         from repro.pipeline.spec import PassSpec
@@ -240,18 +231,13 @@ class TestSerialization:
         assert second.frontend_options == {"run_verifier": True}
         assert codegen.vectorize is False
 
-    def test_pipelines_view_keeps_tuple_ergonomics(self):
-        assert hash(PIPELINES) == hash(tuple(PIPELINES))
-        assert PIPELINES + ("extra",) == tuple(_PAPER_NAMES) + ("extra",)
-        assert ["x"] + list(PIPELINES) == ["x"] + list(_PAPER_NAMES)
-
     def test_run_polybench_default_is_a_paper_snapshot(self):
         from repro.pipeline import PAPER_PIPELINES
 
         assert PAPER_PIPELINES == _PAPER_NAMES
         register_pipeline(_ablated("snapshot-test"))
         try:
-            assert "snapshot-test" in PIPELINES
+            assert "snapshot-test" in list_pipelines()
             assert "snapshot-test" not in PAPER_PIPELINES
         finally:
             unregister_pipeline("snapshot-test")
@@ -259,7 +245,7 @@ class TestSerialization:
     def test_pass_coercion_accepts_names_and_pairs(self):
         spec = PipelineSpec(control_passes=["cse", ("dce", {})])
         assert [p.name for p in spec.control_passes] == ["cse", "dce"]
-        assert spec.control_passes[0].options == {}
+        assert spec.control_passes[0].params == {}
 
     def test_data_passes_require_bridge(self):
         with pytest.raises(PipelineError, match="bridge"):
@@ -286,18 +272,18 @@ class TestSerialization:
         # mutating an ablation's pass options must not touch the parent.
         parent = get_pipeline("dcir")
         child = parent.without_pass("map-fusion")
-        child.data_passes[0].options["tweak"] = 1
-        assert parent.data_passes[0].options == {}
+        child.data_passes[0].params["tweak"] = 1
+        assert parent.data_passes[0].params == {}
         assert cache_key(SAXPY, parent) == cache_key(SAXPY, "dcir")
 
         spec = _ablated("isolation-test")
-        spec.control_passes[0].options["levels"] = [1, 2]
+        spec.control_passes[0].params["levels"] = [1, 2]
         register_pipeline(spec)
         try:
             spec.codegen.vectorize = True  # caller mutation after registering
-            spec.control_passes[0].options["levels"].append(3)  # nested mutation
+            spec.control_passes[0].params["levels"].append(3)  # nested mutation
             assert get_pipeline("isolation-test").codegen.vectorize is False
-            assert get_pipeline("isolation-test").control_passes[0].options == {"levels": [1, 2]}
+            assert get_pipeline("isolation-test").control_passes[0].params == {"levels": [1, 2]}
         finally:
             unregister_pipeline("isolation-test")
 
@@ -403,7 +389,7 @@ class TestCustomPipelineEndToEnd:
 
     def test_unserializable_options_are_isolated_per_item(self):
         bad = get_pipeline("dcir")
-        bad.data_passes[0].options["bad"] = {1, 2, 3}  # sets are not JSON
+        bad.data_passes[0].params["bad"] = {1, 2, 3}  # sets are not JSON
         with pytest.raises(PipelineError, match="JSON-serializable"):
             compile_c(SAXPY, bad)
         outcomes = compile_many(

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro import PIPELINES, compile_c, compile_and_run, run_compiled
+from repro import compile_c, compile_and_run, run_compiled
+from repro.pipeline import PAPER_PIPELINES
 from repro.workloads import (
     bandwidth_source,
     fig2_source,
@@ -60,7 +61,7 @@ class TestPipelineCorrectness:
         result = compile_and_run(source, pipeline).return_value
         assert result == pytest.approx(reference, rel=1e-9)
 
-    @pytest.mark.parametrize("pipeline", PIPELINES)
+    @pytest.mark.parametrize("pipeline", PAPER_PIPELINES)
     def test_fig2_example_all_pipelines(self, pipeline):
         source = fig2_source({"N": 80, "M": 10})
         assert compile_and_run(source, pipeline).return_value == 5

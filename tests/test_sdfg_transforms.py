@@ -37,7 +37,6 @@ from repro.transforms import (
     Transformation,
     Vectorization,
     find_loops,
-    simplify_sdfg,
 )
 
 
@@ -316,10 +315,17 @@ class TestTransforms:
         assert len(entries) == 1
 
     def test_simplify_pipeline_runs(self):
+        from repro.codegen import generate_code
+        from repro.pipeline import SIMPLIFY_SUITE
+        from repro.transforms import DATA_PASSES
+
         sdfg = _loop_sdfg()
-        report = simplify_sdfg(sdfg)
+        report = DATA_PASSES.runner(SIMPLIFY_SUITE, max_iterations=4, stage="data").run(sdfg)
         assert report.records
         sdfg.validate()
+        simplified = _loop_sdfg()
+        assert simplified.simplify() is simplified
+        assert generate_code(simplified) == generate_code(sdfg)
 
 
 def _concrete_scale_sdfg(n=8):
@@ -396,10 +402,10 @@ class TestRewriteEngine:
         assert not promotion.apply_match(sdfg, matches[0])
 
     def test_pass_records_carry_match_accounting(self):
-        from repro.transforms import DataCentricPipeline
+        from repro.passbase import PassRunner
 
         sdfg = _loop_sdfg()
-        report = DataCentricPipeline([LoopToMap()], max_iterations=1).apply(sdfg)
+        report = PassRunner([LoopToMap()]).run(sdfg)
         record = report.records[0]
         assert record.matches == 1 and record.applied == 1
         assert report.match_totals()["loop-to-map"] == {"matches": 1, "applied": 1}

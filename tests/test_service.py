@@ -11,7 +11,8 @@ import os
 
 import pytest
 
-from repro import PIPELINES, PipelineError, compile_c
+from repro import PipelineError, compile_c
+from repro.pipeline import PAPER_PIPELINES
 from repro.conversion import mlir_to_sdfg
 from repro.frontend import compile_c_to_mlir
 from repro.service import (
@@ -248,10 +249,10 @@ class TestSuiteRunner:
     def test_six_pipeline_differential_on_polybench_subset(self):
         session = Session(cache=_fresh_cache(max_entries=1024))
         report = session.run_suite(
-            polybench_suite(sorted(_TINY), sizes=_TINY), pipelines=PIPELINES
+            polybench_suite(sorted(_TINY), sizes=_TINY), pipelines=PAPER_PIPELINES
         )
         assert report.ok, [f"{e.workload}/{e.pipeline}: {e.error}" for e in report.failures]
-        assert len(report.entries) == len(_TINY) * len(PIPELINES)
+        assert len(report.entries) == len(_TINY) * len(PAPER_PIPELINES)
         assert report.disagreements(rel=1e-9) == {}
         # Movement statistics are reported for the data-centric pipelines.
         assert any(
@@ -261,7 +262,7 @@ class TestSuiteRunner:
         # Sweeping the same suite again is served entirely from the cache and
         # at least 5× faster on compile time (the full-suite version of this
         # claim is demonstrated by benchmarks/bench_service.py).
-        warm = session.run_suite(polybench_suite(sorted(_TINY), sizes=_TINY), pipelines=PIPELINES)
+        warm = session.run_suite(polybench_suite(sorted(_TINY), sizes=_TINY), pipelines=PAPER_PIPELINES)
         assert warm.ok
         assert warm.cache_hits == len(warm.entries)
         assert warm.disagreements(rel=1e-9) == {}
